@@ -297,7 +297,8 @@ func censusDaemon(ctx context.Context, r *run, tr *tracer, p *pass) error {
 		l := newLoad(in, d, p.pred)
 		l.verify(r, "census warm-up")
 		rates := daemonMix["drift-mixed"]
-		if _, err = probeDaemon(r, tr, l, rates, censusSeconds); err == nil {
+		l.livePhases(r, tr, rates, censusSeconds)
+		if err = probeDaemon(r, l, rates, censusSeconds); err == nil {
 			replayLayers(ctx, r, tr, p.pred, p.model, l, rates, p.test.Rows)
 		}
 	}

@@ -55,7 +55,11 @@ var replayRoots = [nKinds]string{"request", "recommend", "fleet"}
 // totals sit near a quarter of the closed-loop capacity measured on a
 // 2-vCPU host (~75-100 req/s on both): at half capacity, queueing
 // amplified the host's run-to-run speed changes into a tail latency that
-// spread by over 40% between runs.
+// spread by over 40% between runs. drift-mixed's 1:2:1
+// ingest:recommend:fleet proportions, like its recRows summaries per
+// recommend batch, are an assumption: neither the paper nor the daemon's
+// design states a traffic mix, and the layer shares on drift-mixed follow
+// from it.
 var daemonMix = map[string][nKinds]float64{
 	"ingest-stationary": {20, 0, 0},
 	"drift-mixed":       {5, 10, 5},
@@ -263,8 +267,8 @@ func (in *inputs) expect(ctx context.Context, pred *sizeless.Predictor) error {
 }
 
 // snapshotEvery is the daemon's snapshot interval: a fifth of the run, so
-// that both load phases (three and two fifths) span whole intervals and
-// always contain the same number of periodic snapshots.
+// that every load phase spans one whole interval and contains one periodic
+// snapshot.
 func snapshotEvery(r *run) time.Duration {
 	return max(r.seconds/5, 100*time.Millisecond)
 }
@@ -452,6 +456,17 @@ func (p *phase) record(kind int, latMs float64, err error) {
 		latMs = missMs
 	}
 	p.lat[kind] = append(p.lat[kind], latMs)
+}
+
+// merge adds q's samples and counts to p.
+func (p *phase) merge(q *phase) {
+	for k := range p.lat {
+		p.lat[k] = append(p.lat[k], q.lat[k]...)
+		p.sent[k] += q.sent[k]
+		p.failed[k] += q.failed[k]
+	}
+	p.lag = append(p.lag, q.lag...)
+	p.elapsed += q.elapsed
 }
 
 func (p *phase) all() []float64 {
@@ -658,10 +673,20 @@ func driveDaemon(ctx context.Context, r *run, in *inputs, s *daemonSetup) error 
 	if r.trace {
 		return traceDaemon(ctx, r, s, l, rates, 2*snapshotEvery(r))
 	}
-	open := l.openLoop(r, nil, "open-loop", xrand.New(r.seed).Derive("open"), rates, 3*snapshotEvery(r))
-	l.verify(r, "open-loop")
-	closed := l.closedLoop(r, nil, "closed-loop", xrand.New(r.seed).Derive("closed"), rates, 2*snapshotEvery(r))
-	l.verify(r, "closed-loop")
+	// Closed- and open-loop phases of one snapshot interval each alternate,
+	// closed first, so that throughput is sampled across the whole run: the
+	// host's speed swings by a quarter over some ten seconds, and a single
+	// closed-loop block saw one swing.
+	open, closed := &phase{name: "open-loop"}, &phase{name: "closed-loop"}
+	for i := 0; i < 5; i++ {
+		if i%2 == 0 {
+			closed.merge(l.closedLoop(r, nil, closed.name, xrand.New(r.seed).DeriveIndexed("closed", i), rates, snapshotEvery(r)))
+			l.verify(r, closed.name)
+		} else {
+			open.merge(l.openLoop(r, nil, open.name, xrand.New(r.seed).DeriveIndexed("open", i), rates, snapshotEvery(r)))
+			l.verify(r, open.name)
+		}
+	}
 	open.print(r)
 	closed.print(r)
 	lat := open.all()
@@ -674,20 +699,20 @@ func driveDaemon(ctx context.Context, r *run, in *inputs, s *daemonSetup) error 
 	return nil
 }
 
-// traceDaemon is the traced run of a daemon workload: an untraced and a
-// traced open-loop phase of dur each (their latency difference is the
+// traceDaemon is the traced run of a daemon workload: the live phases
+// (untraced and traced, of dur each, whose latency difference is the
 // tracing overhead), the live probes, the layer replays, and a census of
 // the layers off the daemon path: the set-up campaign and the plan path.
 func traceDaemon(ctx context.Context, r *run, s *daemonSetup, l *load, rates [nKinds]float64, dur time.Duration) error {
-	plain := l.openLoop(r, nil, "open-loop untraced", xrand.New(r.seed).Derive("open"), rates, dur)
-	l.verify(r, "untraced")
-	plain.print(r)
 	tr := newTracer()
-	traced, err := probeDaemon(r, tr, l, rates, dur)
-	if err != nil {
+	plain, traced := l.livePhases(r, tr, rates, dur)
+	r.set("trace.overhead_pct", 100*(quantile(traced.all(), 0.5)/quantile(plain.all(), 0.5)-1), "%")
+	cost := spanCost()
+	r.printf("detail: one span costs %.0fns and a live request records one, %.4f%% of the untraced median latency\n",
+		float64(cost), 100*ms(cost)/quantile(plain.all(), 0.5))
+	if err := probeDaemon(r, l, rates, dur); err != nil {
 		return err
 	}
-	r.set("trace.overhead_pct", 100*(quantile(traced.all(), 0.5)/quantile(plain.all(), 0.5)-1), "%")
 	replayLayers(ctx, r, tr, s.pred, s.model, l, rates, s.test.Rows)
 	census := tr.begin("census", -1, 0)
 	cells, colds := replaySetupCampaign(r, tr, census, s.pred.Provider())
@@ -703,6 +728,27 @@ func traceDaemon(ctx context.Context, r *run, s *daemonSetup, l *load, rates [nK
 	}
 	setShares(r, tr.spans, roots...)
 	return writeTrace(r, tr)
+}
+
+// livePhases runs four open-loop phases of dur/2 on the same schedule, in
+// the order untraced, traced, traced, untraced, with nothing else loading
+// the daemon: the two sets differ only in tracing, and a steady drift in
+// the host's speed cancels out of their comparison. It sets
+// client.lag_p99_ms from the traced set and returns both sets.
+func (l *load) livePhases(r *run, tr *tracer, rates [nKinds]float64, dur time.Duration) (plain, traced *phase) {
+	plain, traced = &phase{name: "open-loop untraced"}, &phase{name: "open-loop traced"}
+	for _, on := range []bool{false, true, true, false} {
+		set, t := plain, (*tracer)(nil)
+		if on {
+			set, t = traced, tr
+		}
+		set.merge(l.openLoop(r, t, set.name, xrand.New(r.seed).Derive("open"), rates, dur/2))
+		l.verify(r, set.name)
+	}
+	plain.print(r)
+	traced.print(r)
+	r.set("client.lag_p99_ms", quantile(append([]float64(nil), traced.lag...), 0.99), "ms")
+	return plain, traced
 }
 
 // sortedWindows lists a decoded request's windows by function ID.

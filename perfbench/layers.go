@@ -25,46 +25,66 @@ import (
 	"sizeless/internal/xrand"
 )
 
-// commitProbes is how many ingest bodies the commit-lag probe follows.
-const commitProbes = 16
+const (
+	// depthEvery is the queue-depth sampler's period.
+	depthEvery = 20 * time.Millisecond
+	// commitProbes is how many ingest bodies the commit-lag probe follows.
+	commitProbes = 16
+	// commitWait bounds the wait for one body's windows to commit.
+	commitWait = 10 * time.Second
+	// commitPoll spaces the status polls, leaving the CPUs to the drainers
+	// whose lag the probe measures.
+	commitPoll = 250 * time.Microsecond
+)
 
-// probeDaemon measures the live daemon with tracing on: a traced open-loop
-// phase of dur while a second connection samples /v1/healthz, then the
-// commit-lag probe, snapshot writes, and the health counters. It returns
-// the traced phase.
-func probeDaemon(r *run, tr *tracer, l *load, rates [nKinds]float64, dur time.Duration) (*phase, error) {
+// probeDaemon measures the live daemon untraced: an open-loop phase of dur
+// while a second connection samples queue depths from /v1/healthz, then the
+// commit-lag probe, snapshot writes, and the health counters. Every
+// /v1/healthz call fingerprints the whole model, a CPU load of its own, so
+// no latency is taken from the sampled phase.
+func probeDaemon(r *run, l *load, rates [nKinds]float64, dur time.Duration) error {
 	probe := &http.Client{Timeout: missMs * time.Millisecond, Transport: &http.Transport{DisableCompression: true}}
 	defer probe.CloseIdleConnections()
+	type sample struct {
+		peak int
+		took []float64 // ms per /v1/healthz call
+	}
 	stop := make(chan struct{})
-	depth := make(chan int, 1) // the sampler's single result
+	depth := make(chan sample, 1) // the sampler's single result
 	go func() {
-		peak := 0
+		var s sample
 		for {
 			select {
 			case <-stop:
-				depth <- peak
+				depth <- s
 				return
-			case <-time.After(20 * time.Millisecond):
+			case <-time.After(depthEvery):
 			}
+			t0 := time.Now()
 			var h serve.Health
-			if err := l.d.call(probe, "GET", "/v1/healthz", nil, http.StatusOK, &h); err != nil {
+			err := l.d.call(probe, "GET", "/v1/healthz", nil, http.StatusOK, &h)
+			r.count(err)
+			if err != nil {
 				continue
 			}
+			s.took = append(s.took, ms(time.Since(t0)))
 			n := 0
 			for _, q := range h.Queues {
 				n += q.Depth
 			}
-			peak = max(peak, n)
+			s.peak = max(s.peak, n)
 		}
 	}()
-	traced := l.openLoop(r, tr, "open-loop traced", xrand.New(r.seed).Derive("open"), rates, dur)
+	sampled := l.openLoop(r, nil, "open-loop sampled", xrand.New(r.seed).Derive("open"), rates, dur)
 	close(stop)
-	r.set("serve.queue_depth_max", float64(<-depth), "count")
-	traced.print(r)
-	r.set("client.lag_p99_ms", quantile(append([]float64(nil), traced.lag...), 0.99), "ms")
-	l.verify(r, "traced")
+	s := <-depth
+	r.set("serve.queue_depth_max", float64(s.peak), "count")
+	sampled.print(r)
+	r.printf("detail: queue-depth sampler: %d /v1/healthz calls, p50 %.3fms each\n", len(s.took), median(s.took))
+	l.verify(r, "sampled")
 
 	var lags []float64
+probes:
 	for i := 0; i < commitProbes; i++ {
 		b, err := l.ingest()
 		r.count(err)
@@ -72,6 +92,7 @@ func probeDaemon(r *run, tr *tracer, l *load, rates [nKinds]float64, dur time.Du
 			continue
 		}
 		acked := time.Now()
+		deadline := acked.Add(commitWait)
 		for _, w := range b.windows {
 			l.mu.Lock()
 			want := l.seen[w.fn]
@@ -83,6 +104,11 @@ func probeDaemon(r *run, tr *tracer, l *load, rates [nKinds]float64, dur time.Du
 					r.count(err)
 					break
 				}
+				if time.Now().After(deadline) {
+					r.check(false, "commit-lag probe: %s holds %d of %d invocations %v after its 202", w.fn, st.Observed, want, commitWait)
+					break probes
+				}
+				time.Sleep(commitPoll)
 			}
 		}
 		lags = append(lags, ms(time.Since(acked)))
@@ -103,12 +129,12 @@ func probeDaemon(r *run, tr *tracer, l *load, rates [nKinds]float64, dur time.Du
 	err = l.d.call(probe, "GET", "/v1/healthz", nil, http.StatusOK, &h)
 	r.count(err)
 	if fleet == nil || err != nil {
-		return nil, fmt.Errorf("daemon probes failed: %v", err)
+		return fmt.Errorf("daemon probes failed: %v", err)
 	}
 	r.set("serve.rejected", float64(h.RejectedBatches), "count")
 	r.set("serve.ingest_errors", float64(h.IngestErrors), "count")
 	r.set("recommender.recompute_ratio", float64(fleet.Summary.Recomputations)/float64(max(l.posted, 1)), "ratio")
-	return traced, nil
+	return nil
 }
 
 // replayLayers replays the daemon workload's inputs through each layer's

@@ -71,6 +71,21 @@ func (t *tracer) do(name string, parent, req int, fn func() error) error {
 	return err
 }
 
+// spanCost is the median time of one begin/end pair, timed on a scratch
+// tracer: what tracing adds to each call it wraps.
+func spanCost() time.Duration {
+	const pairs = 10000
+	t := newTracer()
+	d, _ := timeN(5, func() error {
+		t.spans = t.spans[:0]
+		for i := 0; i < pairs; i++ {
+			t.end(t.begin("cost", -1, i))
+		}
+		return nil
+	})
+	return d / pairs
+}
+
 // selfTimes returns every span's self time: its duration minus the part of
 // its interval covered by its descendants, minus the durations of replay
 // children recorded outside it (clamped at zero).
