@@ -178,7 +178,4 @@
 // baselines — lives in internal/ packages and is exercised through this
 // API, the example programs under examples/, and the benchmark harness
 // that regenerates every table and figure of the paper (cmd/benchreport).
-//
-// The pre-options entry points (GenerateDatasetFromConfig and friends)
-// remain as thin deprecated shims over this API; see compat.go.
 package sizeless

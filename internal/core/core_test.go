@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -211,6 +213,54 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadModel(bytes.NewBufferString("{")); err == nil {
 		t.Error("corrupt model should error")
+	}
+}
+
+// TestFingerprintMemoized pins the memoized fingerprint: the value is the
+// FNV-1a hash of the saved bytes, a loaded copy agrees, concurrent first
+// calls (a health check racing a snapshot write) all see it, and every
+// call after the first costs no allocation (no re-serialization).
+func TestFingerprintMemoized(t *testing.T) {
+	model, err := Train(context.Background(), testDataset(t), smallConfig(platform.Mem256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	want := fmt.Sprintf("%016x", h.Sum64())
+	back, err := LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Model{model, back} {
+		fps := make([]string, 4)
+		var wg sync.WaitGroup
+		for g := range fps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fps[g], _ = m.Fingerprint()
+			}()
+		}
+		wg.Wait()
+		for _, fp := range fps {
+			if fp != want {
+				t.Fatalf("fingerprint %q, want hash of saved bytes %s", fp, want)
+			}
+		}
+		fp, err := m.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again string
+		allocs := testing.AllocsPerRun(10, func() { again, _ = m.Fingerprint() })
+		if allocs != 0 || again != fp {
+			t.Fatalf("second Fingerprint call: %v allocs, value %s vs %s", allocs, again, fp)
+		}
 	}
 }
 

@@ -295,30 +295,29 @@ func GridSearchHalving(ctx context.Context, ds *dataset.Dataset, base ModelConfi
 }
 
 // ensembleValMSE scores an ensemble on the validation split: MSE of the
-// ensemble-mean ratio predictions pooled over rows and targets.
-// Deterministic and read-only over the networks.
+// ensemble-mean ratio predictions pooled over rows and targets, each member
+// scoring the whole split in one batched forward pass. Deterministic and
+// read-only over the networks.
 func ensembleValMSE(nets []*nn.Network, vaX, vaY [][]float64) float64 {
-	scratch := nets[0].NewScratch()
 	outs := len(vaY[0])
-	mean := make([]float64, outs)
+	sum := make([]float64, len(vaX)*outs)
+	for _, net := range nets {
+		preds, err := net.PredictBatch(vaX)
+		if err != nil {
+			// Shapes were validated at construction; a failure here is
+			// a programming error, surfaced as an infinite score.
+			return math.Inf(1)
+		}
+		for i, p := range preds {
+			for j, v := range p {
+				sum[i*outs+j] += v
+			}
+		}
+	}
 	var sse float64
 	for i := range vaX {
-		for j := range mean {
-			mean[j] = 0
-		}
-		for _, net := range nets {
-			p, err := net.PredictInto(vaX[i], scratch)
-			if err != nil {
-				// Shapes were validated at construction; a failure here is
-				// a programming error, surfaced as an infinite score.
-				return math.Inf(1)
-			}
-			for j, v := range p {
-				mean[j] += v
-			}
-		}
-		for j := range mean {
-			d := mean[j]/float64(len(nets)) - vaY[i][j]
+		for j := 0; j < outs; j++ {
+			d := sum[i*outs+j]/float64(len(nets)) - vaY[i][j]
 			sse += d * d
 		}
 	}

@@ -152,20 +152,15 @@ type Model struct {
 	// sortedSizes is the grid in ascending order, precomputed so the
 	// per-prediction isotonic projection stops sorting on every call.
 	sortedSizes []platform.MemorySize
-	// predictPool recycles forward-pass scratch for single predictions —
-	// the recommender's recompute path calls Predict once per function
-	// under concurrent ingestion.
-	predictPool sync.Pool // stores *predictBuf
-	// batchPool recycles the chunk-sized buffers of the batched predict
-	// path (ForwardBatch scratch plus per-sample output and ratio rows).
+	// batchPool recycles the buffers of every predict path (ForwardBatch
+	// scratch plus per-sample output and ratio rows): a single prediction
+	// is a one-row batch, and the recommender's recompute path makes one
+	// per drifted function under concurrent ingestion.
 	batchPool sync.Pool // stores *batchBuf
-}
-
-// predictBuf is one reusable set of single-prediction buffers. The whole
-// ensemble shares one network shape, so one scratch serves every member.
-type predictBuf struct {
-	scratch nn.Scratch
-	ratios  []float64
+	// fpOnce guards the memoized Fingerprint result.
+	fpOnce sync.Once
+	fp     string
+	fpErr  error
 }
 
 // initDerived populates the computed fields shared by every construction
@@ -181,33 +176,19 @@ func (m *Model) initDerived() error {
 	return nil
 }
 
-// getPredictBuf borrows single-prediction scratch from the pool. It is
-// the pool's provider: every caller pairs it with a deferred
-// predictPool.Put in the same function, so the value never outlives its
-// return to the pool.
-func (m *Model) getPredictBuf() *predictBuf {
-	if pb, ok := m.predictPool.Get().(*predictBuf); ok {
-		//lint:ignore poolescape provider half of the predict-scratch pool: every caller pairs this with `defer m.predictPool.Put(pb)` in the same function
-		return pb
-	}
-	return &predictBuf{
-		scratch: m.nets[0].NewScratch(),
-		ratios:  make([]float64, len(m.targets)),
-	}
-}
-
-// batchBuf is one reusable set of chunk-prediction buffers for the batched
-// predict path: batched forward-pass scratch plus per-sample rows for one
-// ensemble member's outputs and the accumulated ensemble-mean ratios.
+// batchBuf is one reusable set of prediction buffers: batched forward-pass
+// scratch plus per-sample rows for one ensemble member's outputs and the
+// accumulated ensemble-mean ratios.
 type batchBuf struct {
 	fs     *nn.ForwardScratch
 	preds  [][]float64 // chunk × outputs, one member's ForwardBatch results
 	ratios [][]float64 // chunk × outputs, summed then clamped mean
 }
 
-// getBatchBuf borrows chunk-prediction scratch sized for `rows` samples.
-// Like getPredictBuf, every caller pairs it with a deferred batchPool.Put
-// in the same function.
+// getBatchBuf borrows prediction scratch sized for `rows` samples. It is
+// the pool's provider: every caller pairs it with a deferred
+// batchPool.Put in the same function, so the value never outlives its
+// return to the pool.
 func (m *Model) getBatchBuf(rows int) *batchBuf {
 	bb, ok := m.batchPool.Get().(*batchBuf)
 	if !ok {
@@ -225,10 +206,10 @@ func (m *Model) getBatchBuf(rows int) *batchBuf {
 // ratiosFromScaledBatch runs the ensemble over a chunk of already-scaled
 // feature rows through ForwardBatch — each member moves the whole chunk
 // through its layers as blocked matrix multiplies — and leaves the clamped
-// mean ratios in bb.ratios[i] for row i. The per-sample accumulation order
-// (members in ensemble order, then mean, then clamp) matches
-// ratiosFromScaledInto exactly, so batched and single predictions agree up
-// to the kernels' floating-point reassociation.
+// mean ratios in bb.ratios[i] for row i. ForwardBatch scores a row the same
+// in any batch and the per-row accumulation (members in ensemble order,
+// then mean, then clamp) never mixes rows, so a row's ratios are
+// bit-identical whether it is predicted alone or in any chunk.
 func (m *Model) ratiosFromScaledBatch(scaled [][]float64, bb *batchBuf) error {
 	nb := len(scaled)
 	preds := bb.preds[:nb]
@@ -376,59 +357,23 @@ func (m *Model) PredictRatios(s monitoring.Summary) ([]float64, error) {
 	return m.predictVector(rows[0])
 }
 
-// predictVector scales a raw feature vector, runs the network, and clamps
-// the resulting ratios to a physically plausible band: no memory change
-// yields a >50× slowdown or speedup on this platform (the CPU share spans
-// only ~28× between 128 MB and 3008 MB).
+// predictVector scales a raw feature vector in place, runs it through the
+// ensemble as a one-row batch, and returns the ratios in a fresh slice,
+// clamped to a physically plausible band: no memory change yields a >50×
+// slowdown or speedup on this platform (the CPU share spans only ~28×
+// between 128 MB and 3008 MB). Read-only over the model: safe for
+// concurrent use.
 func (m *Model) predictVector(vec []float64) ([]float64, error) {
-	scaled, err := m.scaler.Transform(vec)
-	if err != nil {
+	row := [][]float64{vec}
+	if err := m.scaler.TransformInPlace(row); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return m.ratiosFromScaled(scaled)
-}
-
-// ratiosFromScaled runs the ensemble on an already-scaled feature vector
-// and returns the clamped mean ratios in a fresh slice. Read-only over the
-// model: safe for concurrent use.
-func (m *Model) ratiosFromScaled(scaled []float64) ([]float64, error) {
-	pb := m.getPredictBuf()
-	defer m.predictPool.Put(pb)
-	if err := m.ratiosFromScaledInto(scaled, pb.scratch, pb.ratios); err != nil {
+	bb := m.getBatchBuf(1)
+	defer m.batchPool.Put(bb)
+	if err := m.ratiosFromScaledBatch(row, bb); err != nil {
 		return nil, err
 	}
-	return append([]float64(nil), pb.ratios...), nil
-}
-
-// ratiosFromScaledInto is the allocation-free variant of ratiosFromScaled:
-// activations go through scratch and the clamped ensemble mean lands in
-// ratios. Neither buffer may be shared across goroutines.
-func (m *Model) ratiosFromScaledInto(scaled []float64, scratch nn.Scratch, ratios []float64) error {
-	for i := range ratios {
-		ratios[i] = 0
-	}
-	for _, net := range m.nets {
-		p, err := net.PredictInto(scaled, scratch)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		for i, v := range p {
-			ratios[i] += v
-		}
-	}
-	n := float64(len(m.nets))
-	const minRatio, maxRatio = 0.02, 50.0
-	for i := range ratios {
-		r := ratios[i] / n
-		if r < minRatio {
-			r = minRatio
-		}
-		if r > maxRatio {
-			r = maxRatio
-		}
-		ratios[i] = r
-	}
-	return nil
+	return append([]float64(nil), bb.ratios[0]...), nil
 }
 
 // Predict returns the execution time in milliseconds for every size in the
@@ -439,10 +384,11 @@ func (m *Model) ratiosFromScaledInto(scaled []float64, scratch nn.Scratch, ratio
 // the raw network output is flattened (isotonic projection in size order,
 // anchored at the monitored base value).
 //
-// Predict runs on pooled extraction and forward-pass buffers (the result
-// map is the only allocation besides bookkeeping), so it is cheap enough
-// for a continuous recommender to call once per drifted function, and safe
-// to call from many goroutines at once.
+// Predict runs PredictBatch's forward pass on a one-row batch, so a summary
+// gets bit-identical times alone or in any batch. It runs on pooled
+// extraction and forward-pass buffers, so it is cheap enough for a
+// continuous recommender to call once per drifted function, and safe to
+// call from many goroutines at once.
 func (m *Model) Predict(s monitoring.Summary) (map[platform.MemorySize]float64, error) {
 	baseMs := s.Mean[monitoring.ExecutionTime]
 	if baseMs <= 0 {
@@ -451,15 +397,11 @@ func (m *Model) Predict(s monitoring.Summary) (map[platform.MemorySize]float64, 
 	rows, release := m.extractor.Borrow(1)
 	defer release()
 	features.ExtractInto(rows[0], m.cfg.Features, s)
-	if err := m.scaler.TransformInPlace(rows[:1]); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	pb := m.getPredictBuf()
-	defer m.predictPool.Put(pb)
-	if err := m.ratiosFromScaledInto(rows[0], pb.scratch, pb.ratios); err != nil {
+	ratios, err := m.predictVector(rows[0])
+	if err != nil {
 		return nil, err
 	}
-	return m.timesFromRatios(baseMs, pb.ratios), nil
+	return m.timesFromRatios(baseMs, ratios), nil
 }
 
 // timesFromRatios assembles the per-size execution-time map from the base
@@ -481,9 +423,9 @@ func (m *Model) timesFromRatios(baseMs float64, ratios []float64) map[platform.M
 // GEMM (nn.ForwardBatch — the fused kernels in `-tags fma` builds), and
 // chunks run concurrently on up to `workers` goroutines (0 = GOMAXPROCS),
 // clamped to the chunk count so small batches never spawn idle workers.
-// Results are positionally aligned with sums and deterministic, matching
-// Predict up to floating-point reassociation (a few ULPs); cancelling ctx
-// abandons unstarted chunks.
+// Results are positionally aligned with sums and deterministic, and each is
+// bit-identical to Predict on the same summary for any batch size, chunking
+// or worker count; cancelling ctx abandons unstarted chunks.
 func (m *Model) PredictBatch(ctx context.Context, sums []monitoring.Summary, workers int) ([]map[platform.MemorySize]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -510,9 +452,9 @@ func (m *Model) PredictBatch(ctx context.Context, sums []monitoring.Summary, wor
 
 	// Chunked fan-out over the shared bounded pool: each chunk borrows
 	// batched forward-pass scratch and rides ForwardBatch, so a chunk
-	// crosses each layer as one blocked matrix multiply instead of
-	// per-sample dot products. Jobs write only their own indices, so
-	// results are deterministic for any worker count.
+	// crosses each layer as one blocked matrix multiply. Jobs write only
+	// their own indices, so results are deterministic for any worker
+	// count.
 	const chunk = 16
 	out := make([]map[platform.MemorySize]float64, len(sums))
 	nChunks := (len(sums) + chunk - 1) / chunk

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"sizeless/internal/monitoring"
@@ -10,10 +9,10 @@ import (
 )
 
 // TestPredictBatchMatchesPredict pins the batched fleet path to the
-// per-sample one: for batch sizes around the chunk boundary and worker
-// counts from serial to absurdly oversubscribed (the clamp makes the
-// latter equivalent to the chunk count), every per-size time must match
-// Predict within floating-point reassociation.
+// per-sample one: for batch sizes around the kernels' 4-row blocks and the
+// chunk boundary, and worker counts from serial to absurdly oversubscribed
+// (the clamp makes the latter equivalent to the chunk count), every
+// per-size time must equal Predict's bit for bit.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	ds := testDataset(t)
 	cfg := smallConfig(platform.Mem256)
@@ -33,7 +32,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	for _, n := range []int{1, 5, 16, 17, 33} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33} {
 		if n > len(all) {
 			t.Fatalf("test dataset has only %d rows, need %d", len(all), n)
 		}
@@ -50,8 +49,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 					t.Fatalf("n=%d sample %d: %d sizes, want %d", n, i, len(times), len(want[i]))
 				}
 				for mem, v := range times {
-					w := want[i][mem]
-					if math.Abs(v-w) > 1e-9*(1+math.Abs(w)) {
+					if w := want[i][mem]; v != w {
 						t.Fatalf("n=%d workers=%d sample %d size %v: batch %v vs Predict %v",
 							n, workers, i, mem, v, w)
 					}

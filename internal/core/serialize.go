@@ -62,12 +62,20 @@ func saveModel(m *Model, w io.Writer) error {
 // exactly when their persisted state — weights, scaler, grid, provenance —
 // is identical. The serve daemon stamps it into snapshot headers so an
 // operator can tell which model generation a fleet snapshot belongs to.
+//
+// The hash is computed once per model and memoized: a model is never
+// mutated after construction returns (FineTune adapts a clone), and
+// serializing a paper-shape model takes hundreds of milliseconds.
 func (m *Model) Fingerprint() (string, error) {
-	h := fnv.New64a()
-	if err := saveModel(m, h); err != nil {
-		return "", fmt.Errorf("core: fingerprint: %w", err)
-	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	m.fpOnce.Do(func() {
+		h := fnv.New64a()
+		if err := saveModel(m, h); err != nil {
+			m.fpErr = fmt.Errorf("core: fingerprint: %w", err)
+			return
+		}
+		m.fp = fmt.Sprintf("%016x", h.Sum64())
+	})
+	return m.fp, m.fpErr
 }
 
 // LoadModel reconstructs a model persisted with Model.Save. Only the parts

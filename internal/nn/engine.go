@@ -30,12 +30,12 @@ type TrainScratch struct {
 	gradB [][]float64 // per-layer bias-gradient accumulator, out
 	perm  []int       // epoch shuffle order, len(x)
 
-	// Validation-scoring state (TrainWithValidation only): per-layer
-	// single-sample activations for the per-epoch validation pass, and the
-	// best-validation weight/bias snapshot restored when training ends.
-	valAct [][]float64
-	bestW  [][]float64
-	bestB  [][]float64
+	// Validation-scoring state (TrainWithValidation only): forward-pass
+	// scratch for the per-epoch validation pass, and the best-validation
+	// weight/bias snapshot restored when training ends.
+	val   ForwardScratch
+	bestW [][]float64
+	bestB [][]float64
 
 	// Fast-tier state (`-tags fma` builds only; nil otherwise): gradient
 	// slabs for workers 1..W-1 (worker 0 accumulates into gradW/gradB
@@ -52,16 +52,14 @@ type TrainScratch struct {
 // NewTrainScratch returns an empty scratch; buffers grow on first use.
 func NewTrainScratch() *TrainScratch { return &TrainScratch{} }
 
-// ensureVal sizes the validation-pass buffers: per-layer single-sample
-// activations plus the best-weights snapshot. Snapshot space is allocated
-// for every layer (frozen layers are skipped by snapshot/restore, but the
-// scratch is shape-agnostic and reused across networks).
+// ensureVal sizes the best-weights snapshot (the validation pass's forward
+// scratch grows on its own). Snapshot space is allocated for every layer
+// (frozen layers are skipped by snapshot/restore, but the scratch is
+// shape-agnostic and reused across networks).
 func (ts *TrainScratch) ensureVal(n *Network) {
-	ts.valAct = growMatrix(ts.valAct, len(n.layers))
 	ts.bestW = growMatrix(ts.bestW, len(n.layers))
 	ts.bestB = growMatrix(ts.bestB, len(n.layers))
 	for li, l := range n.layers {
-		ts.valAct[li] = growFloats(ts.valAct[li], l.out)
 		ts.bestW[li] = growFloats(ts.bestW[li], len(l.w))
 		ts.bestB[li] = growFloats(ts.bestB[li], len(l.b))
 	}
@@ -213,7 +211,7 @@ func (n *Network) trainValidate(ctx context.Context, x, y [][]float64, epochs in
 		if !hasVal {
 			continue
 		}
-		valLoss := n.evalWith(v.X, v.Y, ts)
+		valLoss := n.evalLoss(v.X, v.Y, &ts.val)
 		if valLoss < bestVal {
 			// Strict-minimum tracking, independent of MinDelta: the
 			// returned network's validation loss is exactly the minimum
@@ -241,24 +239,6 @@ func (n *Network) trainValidate(ctx context.Context, x, y [][]float64, epochs in
 		st.ValLoss = bestVal
 	}
 	return st, nil
-}
-
-// evalWith computes the mean loss over (x, y) without training, using the
-// scratch's validation buffers — the allocation-free per-epoch validation
-// pass. Summation order matches EvalLoss exactly, so the two agree
-// bit-for-bit on the same weights.
-func (n *Network) evalWith(x, y [][]float64, ts *TrainScratch) float64 {
-	var total float64
-	for i := range x {
-		a := x[i]
-		for li, l := range n.layers {
-			out := ts.valAct[li][:l.out]
-			l.forwardInto(a, out)
-			a = out
-		}
-		total += n.lossValue(a, y[i])
-	}
-	return total / float64(len(x))
 }
 
 // snapshotInto copies the trainable layers' weights and biases into the
@@ -513,27 +493,46 @@ func gemmNT(dst, x, w, bias []float64, n, m, k int, relu bool) {
 			d0[o], d1[o], d2[o], d3[o] = c0, c1, c2, c3
 		}
 	}
-	// Remainder rows: one sample at a time with a 4-wide unrolled dot
-	// product — the same summation order as dense.forwardInto.
+	// Remainder rows: one sample at a time, four output rows per pass so
+	// the sample streams from cache once per four weight rows. Every output
+	// is the block kernels' computation exactly — one in-order
+	// accumulation over k, then + bias, then relu0 — so a row's outputs do
+	// not depend on its position in the batch or on the batch size.
 	for ; s < n; s++ {
 		xs := x[s*k : (s+1)*k]
 		ds := dst[s*m : (s+1)*m]
-		for o := 0; o < m; o++ {
-			wo := w[o*k : o*k+k]
+		o := 0
+		for ; o+4 <= m; o += 4 {
+			w0 := w[(o+0)*k : (o+1)*k]
+			w1 := w[(o+1)*k : (o+1)*k+k][:len(w0)]
+			w2 := w[(o+2)*k : (o+2)*k+k][:len(w0)]
+			w3 := w[(o+3)*k : (o+3)*k+k][:len(w0)]
+			y := xs[:len(w0)]
 			var c0, c1, c2, c3 float64
-			kk := k &^ 3
-			for i := 0; i < kk; i += 4 {
-				c0 += wo[i] * xs[i]
-				c1 += wo[i+1] * xs[i+1]
-				c2 += wo[i+2] * xs[i+2]
-				c3 += wo[i+3] * xs[i+3]
+			for i, wv := range w0 {
+				v := y[i]
+				c0 += v * wv
+				c1 += v * w1[i]
+				c2 += v * w2[i]
+				c3 += v * w3[i]
 			}
-			c := bias[o] + c0 + c1 + c2 + c3
-			for i := kk; i < k; i++ {
-				c += wo[i] * xs[i]
+			c0 += bias[o]
+			c1 += bias[o+1]
+			c2 += bias[o+2]
+			c3 += bias[o+3]
+			if relu {
+				c0, c1, c2, c3 = relu0(c0), relu0(c1), relu0(c2), relu0(c3)
 			}
-			if relu && c < 0 {
-				c = 0
+			ds[o], ds[o+1], ds[o+2], ds[o+3] = c0, c1, c2, c3
+		}
+		for ; o < m; o++ {
+			var c float64
+			for i, wv := range w[o*k : o*k+k] {
+				c += xs[i] * wv
+			}
+			c += bias[o]
+			if relu {
+				c = relu0(c)
 			}
 			ds[o] = c
 		}
@@ -719,29 +718,6 @@ func axpy2(dst, s0, s1 []float64, v0, v1 float64) {
 	for i := n; i < len(dst); i++ {
 		dst[i] += v0*s0[i] + v1*s1[i]
 	}
-}
-
-// dotBiasScalar computes b + w·x with four independent accumulators,
-// breaking the add-latency dependency chain that bounds the naive loop.
-// The summation order is exactly the retired forwardInto loop's (and
-// gemmNT's remainder path's): the scalar tier's dotBias resolves here, so
-// single-sample inference stays bit-identical to every engine version
-// since PR 4. The fma tier swaps in an FMA variant through the same hook.
-func dotBiasScalar(w, x []float64, b float64) float64 {
-	w = w[:len(x)]
-	var s0, s1, s2, s3 float64
-	n := len(x) &^ 3
-	for i := 0; i < n; i += 4 {
-		s0 += w[i] * x[i]
-		s1 += w[i+1] * x[i+1]
-		s2 += w[i+2] * x[i+2]
-		s3 += w[i+3] * x[i+3]
-	}
-	s := b + s0 + s1 + s2 + s3
-	for i := n; i < len(x); i++ {
-		s += w[i] * x[i]
-	}
-	return s
 }
 
 // axpy computes dst += v·src with a 4-wide unroll. len(src) must equal

@@ -31,25 +31,6 @@ import "math"
 // in effect.
 const fusedKernels = true
 
-// fastDotBias is dotBiasScalar with fused multiply-adds: same four
-// independent accumulators, one rounding per term instead of two.
-func fastDotBias(w, x []float64, b float64) float64 {
-	w = w[:len(x)]
-	var s0, s1, s2, s3 float64
-	n := len(x) &^ 3
-	for i := 0; i < n; i += 4 {
-		s0 = math.FMA(w[i], x[i], s0)
-		s1 = math.FMA(w[i+1], x[i+1], s1)
-		s2 = math.FMA(w[i+2], x[i+2], s2)
-		s3 = math.FMA(w[i+3], x[i+3], s3)
-	}
-	s := b + s0 + s1 + s2 + s3
-	for i := n; i < len(x); i++ {
-		s = math.FMA(w[i], x[i], s)
-	}
-	return s
-}
-
 // fastGemmNT is gemmNT's 4×2 register block with FMA accumulation.
 func fastGemmNT(dst, x, w, bias []float64, n, m, k int, relu bool) {
 	s := 0
@@ -119,14 +100,46 @@ func fastGemmNT(dst, x, w, bias []float64, n, m, k int, relu bool) {
 			d0[o], d1[o], d2[o], d3[o] = c0, c1, c2, c3
 		}
 	}
+	// Remainder rows: gemmNT's one-sample kernel with fused accumulation —
+	// the block kernels' order exactly, so a row's outputs do not depend on
+	// its position in the batch or on the batch size.
 	for ; s < n; s++ {
 		xs := x[s*k : (s+1)*k]
 		ds := dst[s*m : (s+1)*m]
-		for o := 0; o < m; o++ {
-			ds[o] = fastDotBias(w[o*k:o*k+k], xs, bias[o])
-			if relu && ds[o] < 0 {
-				ds[o] = 0
+		o := 0
+		for ; o+4 <= m; o += 4 {
+			w0 := w[(o+0)*k : (o+1)*k]
+			w1 := w[(o+1)*k : (o+1)*k+k][:len(w0)]
+			w2 := w[(o+2)*k : (o+2)*k+k][:len(w0)]
+			w3 := w[(o+3)*k : (o+3)*k+k][:len(w0)]
+			y := xs[:len(w0)]
+			var c0, c1, c2, c3 float64
+			for i, wv := range w0 {
+				v := y[i]
+				c0 = math.FMA(v, wv, c0)
+				c1 = math.FMA(v, w1[i], c1)
+				c2 = math.FMA(v, w2[i], c2)
+				c3 = math.FMA(v, w3[i], c3)
 			}
+			c0 += bias[o]
+			c1 += bias[o+1]
+			c2 += bias[o+2]
+			c3 += bias[o+3]
+			if relu {
+				c0, c1, c2, c3 = max(c0, 0), max(c1, 0), max(c2, 0), max(c3, 0)
+			}
+			ds[o], ds[o+1], ds[o+2], ds[o+3] = c0, c1, c2, c3
+		}
+		for ; o < m; o++ {
+			var c float64
+			for i, wv := range w[o*k : o*k+k] {
+				c = math.FMA(xs[i], wv, c)
+			}
+			c += bias[o]
+			if relu {
+				c = max(c, 0)
+			}
+			ds[o] = c
 		}
 	}
 }

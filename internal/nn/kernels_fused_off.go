@@ -17,8 +17,6 @@ package nn
 // effect.
 const fusedKernels = false
 
-func fastDotBias(w, x []float64, b float64) float64 { return dotBiasScalar(w, x, b) }
-
 func fastGemmNT(dst, x, w, bias []float64, n, m, k int, relu bool) {
 	gemmNT(dst, x, w, bias, n, m, k, relu)
 }

@@ -31,6 +31,14 @@
 // best-weights restore ends that equivalence, so it belongs at the end of
 // a schedule.
 //
+// # Inference
+//
+// Every forward pass — Predict, PredictBatch, EvalLoss, and validation
+// scoring — runs through ForwardBatch on the training engine's forward
+// kernel. Each output is one in-order accumulation whatever its row's
+// position, so a sample scores bit-identically alone or in any batch, in
+// both tiers below.
+//
 // # Determinism policy
 //
 // The kernels come in two tiers with different reproducibility contracts:
@@ -254,76 +262,20 @@ func New(cfg Config) (*Network, error) {
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Predict runs a forward pass for one sample, returning a fresh slice.
+// Predict runs a forward pass for one sample, returning a fresh slice. It
+// is a one-row ForwardBatch, so a sample scores bit-identically alone and
+// in any batch.
 func (n *Network) Predict(x []float64) ([]float64, error) {
-	if len(x) != n.cfg.Inputs {
-		return nil, fmt.Errorf("nn: input has %d features, network expects %d", len(x), n.cfg.Inputs)
+	out := make([]float64, n.cfg.Outputs)
+	if err := n.ForwardBatch([][]float64{x}, [][]float64{out}, nil); err != nil {
+		return nil, err
 	}
-	a := x
-	for _, l := range n.layers {
-		out := make([]float64, l.out)
-		l.forwardInto(a, out)
-		a = out
-	}
-	return a, nil
+	return out, nil
 }
 
-// Scratch holds reusable per-layer activation buffers for allocation-free
-// inference. One Scratch serves any number of sequential PredictInto calls
-// on networks of the same shape; it must not be shared across goroutines.
-type Scratch [][]float64
-
-// NewScratch allocates buffers sized for this network's layers.
-func (n *Network) NewScratch() Scratch {
-	bufs := make(Scratch, len(n.layers))
-	for i, l := range n.layers {
-		bufs[i] = make([]float64, l.out)
-	}
-	return bufs
-}
-
-// PredictInto runs a forward pass writing every layer's activations into
-// scratch and returns the final buffer (valid until the next call). It is
-// the hot inference path for batch prediction: zero allocations per call.
-func (n *Network) PredictInto(x []float64, scratch Scratch) ([]float64, error) {
-	if len(x) != n.cfg.Inputs {
-		return nil, fmt.Errorf("nn: input has %d features, network expects %d", len(x), n.cfg.Inputs)
-	}
-	if len(scratch) != len(n.layers) {
-		return nil, fmt.Errorf("nn: scratch has %d buffers, network has %d layers", len(scratch), len(n.layers))
-	}
-	a := x
-	for li, l := range n.layers {
-		out := scratch[li]
-		if len(out) != l.out {
-			return nil, fmt.Errorf("nn: scratch buffer %d has %d slots, layer needs %d", li, len(out), l.out)
-		}
-		l.forwardInto(a, out)
-		a = out
-	}
-	return a, nil
-}
-
-// forwardInto computes the layer output for one sample into out without
-// allocating, through the tier-dispatched dot kernel: the default tier's
-// dotBias is the four-accumulator scalar loop (deterministic, identical in
-// summation order to the mini-batch engine's remainder kernel); `-tags
-// fma` builds swap in the FMA dot so the recommender's per-function
-// recompute path rides the fused kernels too.
-func (d *dense) forwardInto(x, out []float64) {
-	for o := 0; o < d.out; o++ {
-		s := dotBias(d.row(o), x, d.b[o])
-		if d.relu && s < 0 {
-			s = 0
-		}
-		out[o] = s
-	}
-}
-
-// PredictBatch runs forward passes for many samples through the batched
-// engine (ForwardBatch): blocked GEMM kernels over pooled scratch instead
-// of a per-sample loop. Results match Predict within floating-point
-// reassociation (a few ULPs) and are deterministic.
+// PredictBatch runs forward passes for many samples through ForwardBatch,
+// returning fresh rows. Every row is bit-identical to Predict on the same
+// sample.
 func (n *Network) PredictBatch(xs [][]float64) ([][]float64, error) {
 	out := make([][]float64, len(xs))
 	if len(xs) == 0 {
@@ -337,13 +289,6 @@ func (n *Network) PredictBatch(xs [][]float64) ([][]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// lossAndGrad returns the per-sample loss and a fresh dL/dpred slice.
-func (n *Network) lossAndGrad(pred, truth []float64) (float64, []float64) {
-	grad := make([]float64, len(pred))
-	loss := n.lossAndGradInto(pred, truth, grad)
-	return loss, grad
 }
 
 // lossAndGradInto computes the per-sample loss, writing dL/dpred into grad
@@ -416,16 +361,12 @@ func (n *Network) EvalLoss(x, y [][]float64) (float64, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return 0, errors.New("nn: empty or mismatched eval data")
 	}
-	var total float64
-	for i := range x {
-		pred, err := n.Predict(x[i])
-		if err != nil {
-			return 0, err
-		}
-		loss, _ := n.lossAndGrad(pred, y[i])
-		total += loss
+	if err := n.checkInputs(x); err != nil {
+		return 0, err
 	}
-	return total / float64(len(x)), nil
+	fs := forwardScratchPool.Get().(*ForwardScratch)
+	defer forwardScratchPool.Put(fs)
+	return n.evalLoss(x, y, fs), nil
 }
 
 func sign(x float64) float64 {

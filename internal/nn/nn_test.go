@@ -80,6 +80,13 @@ func TestLearnsLinearFunction(t *testing.T) {
 	}
 }
 
+// lossAndGrad returns the per-sample loss and a fresh dL/dpred slice.
+func (n *Network) lossAndGrad(pred, truth []float64) (float64, []float64) {
+	grad := make([]float64, len(pred))
+	loss := n.lossAndGradInto(pred, truth, grad)
+	return loss, grad
+}
+
 func TestLossFunctions(t *testing.T) {
 	// Verify loss values directly via lossAndGrad.
 	net, err := New(Config{Inputs: 1, Outputs: 2, Loss: MSE})

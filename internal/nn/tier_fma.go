@@ -77,10 +77,6 @@ func fastWorkerCount(n int) int {
 	return w
 }
 
-// dotBias is the single-sample forward dot kernel: Predict, PredictInto,
-// and validation scoring ride the FMA dot in fast builds.
-func dotBias(w, x []float64, b float64) float64 { return fastDotBias(w, x, b) }
-
 // ensureFast sizes the per-worker gradient slabs (workers 1..W-1; worker 0
 // accumulates into ts.gradW directly) and the loss partials.
 func (ts *TrainScratch) ensureFast(n *Network, workers int) {

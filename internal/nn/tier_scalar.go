@@ -32,11 +32,6 @@ func SetFastWorkers(int) {}
 // here: the scalar path is the only path.
 func setFastEnabled(bool) {}
 
-// dotBias is the single-sample forward dot kernel behind forwardInto
-// (Predict, PredictInto, validation scoring): the scalar tier keeps the
-// frozen four-accumulator summation order.
-func dotBias(w, x []float64, b float64) float64 { return dotBiasScalar(w, x, b) }
-
 // trainBatchTier is the fast tier's entry point into trainBatch; the
 // scalar tier has no alternate path.
 func (n *Network) trainBatchTier([][]float64, []int, *TrainScratch) (float64, bool) {

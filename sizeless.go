@@ -291,7 +291,9 @@ func (p *Predictor) Predict(s Summary) (map[MemorySize]float64, error) {
 // the fleet-scale hot path. Feature extraction and scaling are amortized
 // into single matrix operations and the forward passes run concurrently
 // (bounded by WithWorkers at training/load time). Results align
-// positionally with sums and match calling Predict per summary.
+// positionally with sums and are bit-identical to calling Predict per
+// summary: both run the same batched forward pass, which scores a row the
+// same whatever the batch around it.
 func (p *Predictor) PredictBatch(ctx context.Context, sums []Summary) ([]map[MemorySize]float64, error) {
 	out, err := p.model.PredictBatch(ctx, sums, p.workers)
 	if err != nil {
@@ -321,7 +323,7 @@ func (p *Predictor) Recommend(s Summary, tradeoff float64) (Recommendation, erro
 
 // RecommendBatch scores many summaries in one pass: batch prediction plus
 // per-summary optimization under the provider's pricing. Results align
-// positionally with sums.
+// positionally with sums and equal calling Recommend per summary.
 func (p *Predictor) RecommendBatch(ctx context.Context, sums []Summary, tradeoff float64) ([]Recommendation, error) {
 	times, err := p.PredictBatch(ctx, sums)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -142,16 +141,15 @@ func TestPredictBatchMatchesLoop(t *testing.T) {
 	if len(batch) != len(sums) {
 		t.Fatalf("batch returned %d results, want %d", len(batch), len(sums))
 	}
-	// The batch path uses a reassociated (but deterministic) summation for
-	// speed, so allow a few ULPs of drift against the scalar path.
-	const relTol = 1e-9
+	// Predict is a one-row batch through the same forward pass, so every
+	// time must match bit for bit.
 	for i, s := range sums {
 		single, err := pred.Predict(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for m, v := range single {
-			if diff := math.Abs(batch[i][m] - v); diff > relTol*math.Abs(v) {
+			if batch[i][m] != v {
 				t.Fatalf("batch[%d] differs from Predict at %v: %v vs %v", i, m, batch[i][m], v)
 			}
 		}
@@ -400,41 +398,6 @@ func TestServiceShardedFleetIngest(t *testing.T) {
 	}
 	if got := len(svc.Fleet()); got != len(batch) {
 		t.Errorf("fleet lists %d functions, want %d", got, len(batch))
-	}
-}
-
-func TestDeprecatedConfigShims(t *testing.T) {
-	ds, err := sizeless.GenerateDatasetFromConfig(sizeless.DatasetConfig{
-		Functions: 8,
-		Rate:      10,
-		Duration:  3 * time.Second,
-		Seed:      42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Rows) != 8 {
-		t.Fatalf("shim dataset rows = %d, want 8", len(ds.Rows))
-	}
-	if _, err := sizeless.GenerateDatasetFromConfig(sizeless.DatasetConfig{}); err == nil {
-		t.Error("zero functions should error through the shim")
-	}
-
-	pred, err := sizeless.TrainPredictorFromConfig(ds, sizeless.PredictorConfig{Hidden: []int{16}, Epochs: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := sizeless.MonitorFunctionFromConfig(demoSpec(), sizeless.MonitorConfig{
-		Rate: 10, Duration: 3 * time.Second, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pred.Recommend(sum, 0.75); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pred.NewServiceFromConfig(sizeless.ServiceConfig{MinWindow: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
