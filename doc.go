@@ -102,8 +102,7 @@
 // its baseline window's sorted ranks, so a stationary fleet's repeated
 // drift sweeps stop re-sorting the unchanged baseline. BENCH_ingest.json
 // records the measured fleet-ingest throughput of this engine against the
-// seed's sequential pipeline; the "ingest-scale" experiment in
-// cmd/benchreport regenerates the scaling table.
+// seed's sequential pipeline.
 //
 // The deployment posture for all of this is the fleet daemon: "sizeless
 // serve" (internal/serve) exposes ingest/recommend/fleet/status over
@@ -128,8 +127,7 @@
 // its own random stream, so a fixed WithSeed reproduces the same model
 // for any worker count. Frozen layers (Predictor.Adapt) skip backward
 // compute entirely. BENCH_train.json records the engine's ns/epoch and
-// allocs/epoch against the retired per-sample loop; the "train-scale"
-// experiment in cmd/benchreport regenerates the batch-size scaling table.
+// allocs/epoch against the retired per-sample loop.
 //
 // The kernel layer underneath is two-tiered. The default build is
 // bit-reproducible: scalar kernels, byte-identical serialization, and a
@@ -158,8 +156,7 @@
 // budget, keep the best half by validation MSE, double, repeat),
 // spending half the epochs of the exhaustive sweep for a winner within
 // tolerance of the exhaustive one. BENCH_search.json records that
-// trajectory; the "search-scale" experiment in cmd/benchreport
-// regenerates the comparison.
+// trajectory.
 //
 // # Static analysis
 //

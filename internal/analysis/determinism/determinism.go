@@ -54,9 +54,12 @@ var seedSinks = map[string]bool{
 // scenario lab's byte-for-byte reproducibility rests on it. internal/dag
 // is in scope because the application planner promises identical plans per
 // seed at any worker count: a latency or cost sum assembled in map order
-// would silently break plan reproducibility.
+// would silently break plan reproducibility. internal/lambda and
+// internal/fleetsynth are in scope because their warm-pool replays feed
+// bit-reproducible campaign data, scenario windows and the planner's
+// cold-start edge costs.
 func numericScoped(path string) bool {
-	for _, seg := range []string{"internal/nn", "internal/core", "internal/stats", "internal/xrand", "internal/loadgen", "internal/dag"} {
+	for _, seg := range []string{"internal/nn", "internal/core", "internal/stats", "internal/xrand", "internal/loadgen", "internal/dag", "internal/lambda", "internal/fleetsynth"} {
 		if analysis.PathHasSegment(path, seg) {
 			return true
 		}

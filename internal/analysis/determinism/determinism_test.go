@@ -16,7 +16,9 @@ func TestAnalyzer(t *testing.T) {
 	// map-order schedule assembly flagged.
 	// c/internal/dag: the application planner's scope — per-seed plan
 	// reproducibility forbids seedless jitter and map-order cost assembly.
+	// c/internal/lambda: the warm-pool simulator's scope — a map-order
+	// float total flagged, a spawn-order total silent.
 	analysistest.Run(t, analysistest.TestData(t), determinism.Analyzer,
 		"c/internal/nn", "c/internal/nn/fastpath", "c/internal/util", "c/internal/loadgen",
-		"c/internal/dag")
+		"c/internal/dag", "c/internal/lambda")
 }

@@ -8,7 +8,7 @@ import (
 	"strconv"
 	"time"
 
-	"sizeless/internal/fleetsynth"
+	"sizeless/internal/lambda"
 	"sizeless/internal/loadgen"
 	"sizeless/internal/optimizer"
 	"sizeless/internal/platform"
@@ -367,7 +367,7 @@ func (p *planner) segment(members []int) (*segTable, error) {
 			continue
 		}
 		dur := time.Duration(t * float64(time.Millisecond))
-		cold := fleetsynth.ColdFraction(sched, dur, p.cfg.Platform.KeepAlive)
+		cold := lambda.ColdFraction(sched, dur, p.cfg.Platform.KeepAlive)
 		lat := t + cold*float64(p.cfg.Platform.ColdStartDelay(m))/float64(time.Millisecond)
 		st.timeMs[si] = t
 		st.cold[si] = cold

@@ -1,9 +1,10 @@
 // Package fleetsynth fabricates synthetic monitoring windows for
-// fleet-scale tests, benchmarks, and the ingest-scale experiment: cheap,
-// deterministic lognormal metric vectors so those harnesses time the
-// ingest pipeline (summarize → drift → predict → optimize) rather than the
-// platform simulator. One definition keeps the bench, the concurrency
-// suite, and benchreport measuring the same workload shape.
+// fleet-scale tests, benchmarks, and the scenario lab: cheap, deterministic
+// lognormal metric vectors so those harnesses time the ingest pipeline
+// (summarize → drift → predict → optimize) rather than the platform
+// simulator. One definition keeps the benches, the concurrency suite, and
+// benchreport measuring the same workload shape. Stream takes its cold
+// starts from the lambda warm pool, without the runtime simulator.
 package fleetsynth
 
 import (

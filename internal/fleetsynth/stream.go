@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"sizeless/internal/lambda"
 	"sizeless/internal/loadgen"
 	"sizeless/internal/monitoring"
 	"sizeless/internal/xrand"
@@ -40,13 +41,14 @@ type StreamConfig struct {
 }
 
 // Stream slices an arrival schedule into per-window invocation batches with
-// a load-dependent cold-start model: a warm pool in the style of
-// internal/lambda (idle-gap reclamation after KeepAlive, LIFO routing to
-// the most recently used warm instance, a new cold instance when none is
-// idle). Sparse traffic therefore pays cold starts on idle gaps, spikes pay
-// them on concurrency growth, and steady moderate traffic stays warm —
-// cold-start frequency tracks the workload shape rather than a fixed
-// fraction.
+// a load-dependent cold-start model: arrivals route through a lambda.Pool
+// (reaping after KeepAlive, LIFO routing to the most recently freed idle
+// instance, a cold spawn when every instance is busy), and each invocation
+// holds its instance for its synthetic execution time, with no init delay
+// or wrapper overhead. Sparse traffic therefore pays cold starts on idle
+// gaps, spikes pay them on concurrency growth, and steady moderate traffic
+// stays warm — cold-start frequency tracks the workload shape rather than a
+// fixed fraction.
 //
 // Metric vectors come from the same lognormal generator as Window, drawn in
 // arrival order from rng, so identical (schedule, config, stream) inputs
@@ -70,45 +72,15 @@ func Stream(rng *xrand.Stream, sched loadgen.Schedule, cfg StreamConfig) ([][]mo
 	arrivals := append(loadgen.Schedule(nil), sched...)
 	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i] < arrivals[j] })
 
-	// Warm pool: busyUntil/lastUsed per instance, mirroring
-	// lambda.Deployment's instanceState without the runtime simulator.
-	type slot struct {
-		busyUntil time.Duration
-		lastUsed  time.Duration
-	}
-	var pool []*slot
+	var pool lambda.Pool[struct{}]
 	for _, t := range arrivals {
 		if t < 0 || t >= cfg.Horizon {
 			continue
 		}
 		w := int(t / cfg.Window)
-
-		// Reap instances idle beyond the keep-alive window.
-		if cfg.KeepAlive > 0 {
-			kept := pool[:0]
-			for _, s := range pool {
-				if s.busyUntil <= t && t-s.lastUsed > cfg.KeepAlive {
-					continue
-				}
-				kept = append(kept, s)
-			}
-			pool = kept
-		}
-
-		// LIFO warm routing: most recently used idle instance.
-		var warm *slot
-		for _, s := range pool {
-			if s.busyUntil > t {
-				continue
-			}
-			if warm == nil || s.lastUsed > warm.lastUsed {
-				warm = s
-			}
-		}
-		cold := warm == nil
-		if cold {
-			warm = &slot{}
-			pool = append(pool, warm)
+		i, warm := pool.Warm(t, cfg.KeepAlive)
+		if !warm {
+			i = pool.Spawn(struct{}{})
 		}
 
 		ws := scale
@@ -117,12 +89,11 @@ func Stream(rng *xrand.Stream, sched loadgen.Schedule, cfg StreamConfig) ([][]mo
 				ws *= f
 			}
 		}
-		inv := monitoring.Invocation{Start: t, ColdStart: cold}
+		inv := monitoring.Invocation{Start: t, ColdStart: !warm}
 		fill(rng, &inv, ws)
 		inv.Duration = time.Duration(inv.Metrics[monitoring.ExecutionTime] * float64(time.Millisecond))
 
-		warm.busyUntil = t + inv.Duration
-		warm.lastUsed = warm.busyUntil
+		pool.Hold(i, t+inv.Duration)
 		out[w] = append(out[w], inv)
 	}
 	return out, nil

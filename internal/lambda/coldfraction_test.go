@@ -1,4 +1,4 @@
-package fleetsynth
+package lambda
 
 import (
 	"testing"

@@ -1,9 +1,13 @@
 // Package lambda simulates the function-instance lifecycle of a FaaS
 // platform: warm pools, cold starts, keep-alive reclamation, and the
-// account concurrency limit. It drives runtime instances over a loadgen
-// schedule and feeds every invocation through the monitoring wrapper —
-// the simulated counterpart of deploying a monitored function and pointing
-// a load driver at it (paper §3.3).
+// account concurrency limit. Deployment drives runtime instances over a
+// loadgen schedule and feeds every invocation through the monitoring
+// wrapper — the simulated counterpart of deploying a monitored function
+// and pointing a load driver at it (paper §3.3).
+//
+// Pool is the one warm-pool routing policy: Deployment, fleetsynth.Stream
+// and ColdFraction (the DAG planner's cold-start probe) all route arrivals
+// through it.
 package lambda
 
 import (
@@ -20,12 +24,10 @@ import (
 	"sizeless/internal/xrand"
 )
 
-// instanceState tracks one instance in the warm pool.
-type instanceState struct {
-	inst      *runtime.Instance
-	monitor   *monitoring.Monitor
-	busyUntil time.Duration
-	lastUsed  time.Duration
+// instance is one simulated function instance and the monitor wrapping it.
+type instance struct {
+	inst    *runtime.Instance
+	monitor *monitoring.Monitor
 }
 
 // Deployment is one function deployed at one memory size.
@@ -36,7 +38,7 @@ type Deployment struct {
 	store monitoring.Store
 	rng   *xrand.Stream
 
-	pool      []*instanceState
+	pool      Pool[instance]
 	nextID    int
 	wrapperMs float64
 }
@@ -91,96 +93,59 @@ func (d *Deployment) Run(schedule loadgen.Schedule) (Result, error) {
 	var res Result
 	cfg := d.env.Platform
 	for _, t := range arrivals {
-		d.reap(t, cfg.KeepAlive)
-
-		st := d.findWarm(t)
-		cold := false
+		i, warm := d.pool.Warm(t, cfg.KeepAlive)
 		start := t
-		if st == nil {
-			if cfg.ConcurrencyLimit > 0 && len(d.pool) >= cfg.ConcurrencyLimit {
+		if !warm {
+			if cfg.ConcurrencyLimit > 0 && len(d.pool.entries) >= cfg.ConcurrencyLimit {
 				res.Throttled++
 				continue
 			}
-			var err error
-			st, err = d.spawn()
+			in, err := d.spawn()
 			if err != nil {
 				return res, err
 			}
-			cold = true
+			i = d.pool.Spawn(in)
 			// Cold start delays the handler start; init CPU lands outside
 			// the monitor's diff window because RunInit advances counters
 			// before Record snapshots them.
-			start = t + st.inst.RunInit()
+			start = t + in.inst.RunInit()
 		}
 
-		inv, err := st.monitor.Record(start, cold, func() (time.Duration, monitoring.LagSample, error) {
-			return st.inst.Invoke()
+		in := d.pool.entries[i].val
+		inv, err := in.monitor.Record(start, !warm, func() (time.Duration, monitoring.LagSample, error) {
+			return in.inst.Invoke()
 		})
 		if err != nil {
 			return res, fmt.Errorf("lambda: invocation at %v: %w", t, err)
 		}
-		st.busyUntil = start + inv.Duration + time.Duration(d.wrapperMs*float64(time.Millisecond))
-		st.lastUsed = st.busyUntil
+		d.pool.Hold(i, start+inv.Duration+time.Duration(d.wrapperMs*float64(time.Millisecond)))
 		res.Invocations++
-		if cold {
+		if !warm {
 			res.ColdStarts++
 		}
-		if len(d.pool) > res.MaxConcurrency {
-			res.MaxConcurrency = len(d.pool)
+		if n := len(d.pool.entries); n > res.MaxConcurrency {
+			res.MaxConcurrency = n
 		}
 	}
 	return res, nil
 }
 
-// findWarm returns an idle warm instance at time t, preferring the most
-// recently used one (Lambda routes to warm sandboxes LIFO, which lets idle
-// instances age out).
-func (d *Deployment) findWarm(t time.Duration) *instanceState {
-	var best *instanceState
-	for _, st := range d.pool {
-		if st.busyUntil > t {
-			continue
-		}
-		if best == nil || st.lastUsed > best.lastUsed {
-			best = st
-		}
-	}
-	return best
-}
-
-// reap removes instances idle beyond the keep-alive window.
-func (d *Deployment) reap(t time.Duration, keepAlive time.Duration) {
-	if keepAlive <= 0 {
-		return
-	}
-	kept := d.pool[:0]
-	for _, st := range d.pool {
-		if st.busyUntil <= t && t-st.lastUsed > keepAlive {
-			continue
-		}
-		kept = append(kept, st)
-	}
-	d.pool = kept
-}
-
 // spawn creates a fresh (cold) instance.
-func (d *Deployment) spawn() (*instanceState, error) {
+func (d *Deployment) spawn() (instance, error) {
 	inst, err := runtime.NewInstance(d.env, d.spec, d.mem, d.rng.DeriveIndexed("instance", d.nextID))
 	if err != nil {
-		return nil, err
+		return instance{}, err
 	}
 	d.nextID++
-	st := &instanceState{
+	return instance{
 		inst: inst,
 		monitor: &monitoring.Monitor{
 			FunctionID: d.spec.Name,
 			Probe:      inst,
 			Store:      d.store,
 		},
-	}
-	d.pool = append(d.pool, st)
-	return st, nil
+	}, nil
 }
 
 // PoolSize returns the current number of live instances.
-func (d *Deployment) PoolSize() int { return len(d.pool) }
+func (d *Deployment) PoolSize() int { return len(d.pool.entries) }

@@ -2,9 +2,11 @@ package platform
 
 import "testing"
 
-// FuzzParseMemorySize checks the legacy size parser never panics and that
-// whatever it accepts is grid-valid and round-trips through String().
+// FuzzParseMemorySize checks that parsing a size onto the AWS grid never
+// panics and that whatever it accepts is grid-valid and round-trips through
+// String().
 func FuzzParseMemorySize(f *testing.F) {
+	aws := AWSLambda().Grid()
 	for _, seed := range []string{
 		"256", "512MB", "3008MB", "128", "0", "-128", "100",
 		"99999999999999999999", "128.5", "NaNMB", "", "MB", " 512 ",
@@ -13,14 +15,14 @@ func FuzzParseMemorySize(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		m, err := ParseMemorySize(s)
+		m, err := aws.Parse(s)
 		if err != nil {
 			return // rejected input is fine; panicking is not
 		}
-		if !m.Valid() {
-			t.Fatalf("ParseMemorySize(%q) = %v, outside the legacy grid", s, m)
+		if !aws.Valid(m) {
+			t.Fatalf("aws.Parse(%q) = %v, outside the AWS grid", s, m)
 		}
-		again, err := ParseMemorySize(m.String())
+		again, err := aws.Parse(m.String())
 		if err != nil {
 			t.Fatalf("round trip of %v: %v", m, err)
 		}

@@ -33,8 +33,9 @@ func TestAllSizes64MB(t *testing.T) {
 	if sizes[0] != 128 || sizes[len(sizes)-1] != 3008 {
 		t.Errorf("range = [%v, %v], want [128MB, 3008MB]", sizes[0], sizes[len(sizes)-1])
 	}
+	aws := AWSLambda().Grid()
 	for _, s := range sizes {
-		if !s.Valid() {
+		if !aws.Valid(s) {
 			t.Errorf("size %v should be valid", s)
 		}
 	}
@@ -48,26 +49,28 @@ func TestMemorySizeValid(t *testing.T) {
 		{128, true}, {3008, true}, {1024, true},
 		{64, false}, {127, false}, {3072, false}, {130, false}, {0, false},
 	}
+	aws := AWSLambda().Grid()
 	for _, tt := range tests {
-		if got := tt.m.Valid(); got != tt.want {
-			t.Errorf("%v.Valid() = %v, want %v", tt.m, got, tt.want)
+		if got := aws.Valid(tt.m); got != tt.want {
+			t.Errorf("aws.Valid(%v) = %v, want %v", tt.m, got, tt.want)
 		}
 	}
 }
 
 func TestParseMemorySize(t *testing.T) {
+	aws := AWSLambda().Grid()
 	for _, s := range []string{"512", "512MB"} {
-		m, err := ParseMemorySize(s)
+		m, err := aws.Parse(s)
 		if err != nil {
-			t.Fatalf("ParseMemorySize(%q): %v", s, err)
+			t.Fatalf("aws.Parse(%q): %v", s, err)
 		}
 		if m != Mem512 {
-			t.Errorf("ParseMemorySize(%q) = %v, want 512MB", s, m)
+			t.Errorf("aws.Parse(%q) = %v, want 512MB", s, m)
 		}
 	}
 	for _, s := range []string{"abc", "-12", "100"} {
-		if _, err := ParseMemorySize(s); err == nil {
-			t.Errorf("ParseMemorySize(%q) should error", s)
+		if _, err := aws.Parse(s); err == nil {
+			t.Errorf("aws.Parse(%q) should error", s)
 		}
 	}
 }

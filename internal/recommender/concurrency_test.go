@@ -17,8 +17,7 @@ import (
 )
 
 // Windows and batches come from internal/fleetsynth — the shared
-// synthetic-fleet fabricator also used by the ingest benchmarks and the
-// benchreport ingest-scale experiment.
+// synthetic-fleet fabricator also used by the ingest benchmarks.
 
 // TestParallelMixedOperations hammers one Service with concurrent Ingest,
 // IngestBatch, Status, Fleet, and Summarize calls. Run under -race in CI;

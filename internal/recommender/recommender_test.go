@@ -129,7 +129,7 @@ func TestInitialRecommendationAfterMinWindow(t *testing.T) {
 	if !st.HasRecommendation {
 		t.Fatal("no recommendation after MinWindow")
 	}
-	if !st.Recommendation.Best.Valid() {
+	if !platform.AWSLambda().Grid().Valid(st.Recommendation.Best) {
 		t.Errorf("invalid recommendation %v", st.Recommendation.Best)
 	}
 	if st.Recomputations != 0 {
@@ -339,7 +339,7 @@ func TestServiceWithTieredPricing(t *testing.T) {
 	if !st.HasRecommendation {
 		t.Fatal("expected a recommendation")
 	}
-	if !st.Recommendation.Best.Valid() {
+	if !platform.AWSLambda().Grid().Valid(st.Recommendation.Best) {
 		t.Errorf("recommendation %v invalid", st.Recommendation.Best)
 	}
 }

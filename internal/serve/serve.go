@@ -316,15 +316,19 @@ func (s *Server) Run(ctx context.Context) error {
 
 // drainShard feeds one shard queue into the service until ctx is
 // cancelled, then drains whatever is already queued under the shutdown
-// grace so accepted windows are not lost on a clean stop.
+// grace so accepted windows are not lost on a clean stop. Jobs run under a
+// context that ctx's cancellation does not reach: a window in flight when
+// shutdown begins, or picked by the select after it began, is committed
+// rather than rolled back.
 func (s *Server) drainShard(ctx context.Context, si int) {
 	q := s.queues[si]
+	jctx := context.WithoutCancel(ctx)
 	for {
 		select {
 		case j := <-q.jobs:
-			s.process(ctx, q, j)
+			s.process(jctx, q, j)
 		case <-ctx.Done():
-			gctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.ShutdownGrace)
+			gctx, cancel := context.WithTimeout(jctx, s.cfg.ShutdownGrace)
 			for {
 				select {
 				case j := <-q.jobs:

@@ -228,7 +228,7 @@ func TestServeRecommendEndpoint(t *testing.T) {
 		t.Fatalf("%d recommendations, want 2", len(out.Recommendations))
 	}
 	for i, rec := range out.Recommendations {
-		if !rec.Best.Valid() {
+		if !pred.Provider().Grid().Valid(rec.Best) {
 			t.Errorf("recommendation %d has no valid best size: %+v", i, rec)
 		}
 	}

@@ -116,7 +116,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Best.Valid() {
+	if !pred.Provider().Grid().Valid(rec.Best) {
 		t.Errorf("recommended size %v invalid", rec.Best)
 	}
 	if len(rec.Options) != 6 {
